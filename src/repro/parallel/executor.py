@@ -361,11 +361,20 @@ class ProcessExecutor:
         pool = self._lease(window, start_method)
         try:
             while queue or active:
+                pool_broken = False
                 while queue and len(active) < window:
                     shard, attempt = queue.popleft()
-                    future = pool.submit(
-                        _invoke_shard, task, shard, label, capture, self.faults, attempt
-                    )
+                    try:
+                        future = pool.submit(
+                            _invoke_shard, task, shard, label, capture, self.faults, attempt
+                        )
+                    except BrokenProcessPool:
+                        # A worker died after the last wait returned: this
+                        # shard never ran, so requeue it as is and replace
+                        # the pool below.
+                        queue.appendleft((shard, attempt))
+                        pool_broken = True
+                        break
                     deadline = (
                         time.monotonic() + self.shard_timeout_s
                         if self.shard_timeout_s is not None
@@ -392,7 +401,6 @@ class ProcessExecutor:
                 else:
                     poll = None
                 done, _pending = wait(list(active), timeout=poll, return_when=FIRST_COMPLETED)
-                pool_broken = False
                 for future in done:
                     shard, attempt, _deadline, submit_wall, payload = active.pop(future)
                     try:

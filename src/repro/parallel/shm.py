@@ -229,7 +229,8 @@ def _sweep_live_registries() -> None:  # pragma: no cover - exit path
         registry.close()
 
 
-def _pid_alive(pid: int) -> bool:
+def pid_alive(pid: int) -> bool:
+    """Whether process ``pid`` exists (one we may not signal counts as alive)."""
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
@@ -262,7 +263,7 @@ def sweep_orphan_segments() -> int:
             pid = int(parts[0])
         except (ValueError, IndexError):
             continue
-        if pid == os.getpid() or _pid_alive(pid):
+        if pid == os.getpid() or pid_alive(pid):
             continue
         try:
             os.unlink(os.path.join(shm_dir, entry))

@@ -306,6 +306,38 @@ class TestProcessSupervision:
         assert results == [sum(s.items) for s in _plan().shards()]
         assert telemetry.metrics.counter("resilience.worker_crashes") >= 1
 
+    def test_pool_found_broken_at_submit_is_replaced(self):
+        """A worker can die between the supervisor's wait and its next
+        submit, so ``submit`` itself raises BrokenProcessPool.  That shard
+        never ran: it is requeued on a fresh pool instead of failing the
+        stage (no resilience config needed)."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.parallel.executor import ProcessExecutor
+
+        class BrokenPool:
+            def submit(self, *args, **kwargs):
+                raise BrokenProcessPool("a worker died")
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        class StartsBroken(ProcessExecutor):
+            leases = 0
+
+            def _lease(self, window, start_method):
+                self.leases += 1
+                if self.leases == 1:
+                    return BrokenPool()
+                return super()._lease(window, start_method)
+
+        telemetry = Telemetry.capture()
+        executor = StartsBroken(2)
+        results = executor.map_shards(_sum_shard, _plan().shards(), telemetry, "parallel")
+        assert results == [sum(s.items) for s in _plan().shards()]
+        assert executor.leases == 2
+        assert telemetry.metrics.counter("resilience.worker_crashes") == 1
+
     def test_process_results_match_serial_under_faults(self):
         faults = FaultPlan(
             seed=5,

@@ -10,7 +10,7 @@ from repro.core.pipeline import StudyConfig, run_study
 from repro.io.archive import save_archive
 from repro.obs import MetricsRegistry
 from repro.parallel import ParallelConfig
-from repro.store import StudyStore, config_fingerprint, study_key
+from repro.store import StageStore, StudyStore, config_fingerprint, stage_key, study_key
 from repro.topology.generator import InternetConfig
 
 pytestmark = pytest.mark.store
@@ -309,16 +309,26 @@ class TestFaultAwareKeys:
 
 
 class TestGcAndIndex:
-    def test_lru_eviction_order(self, tmp_path, tiny_study):
-        store = StudyStore(tmp_path / "store", metrics=MetricsRegistry())
-        studies = [tiny_study, run_study(_tiny_config(seed=4)), run_study(_tiny_config(seed=5))]
-        keys = [store.put(study) for study in studies]
-        # Touch the oldest so it becomes most recently used.
-        assert store.get(_tiny_config(seed=3)) is not None
+    @pytest.mark.parametrize("kind", ["study", "stage"])
+    def test_lru_eviction_order(self, kind, tmp_path, tiny_study):
+        """A hit refreshes the entry's recency, so gc evicts the unread one."""
+        if kind == "study":
+            store = StudyStore(tmp_path / "store", metrics=MetricsRegistry())
+            studies = [tiny_study, run_study(_tiny_config(seed=4)), run_study(_tiny_config(seed=5))]
+            keys = [store.put(study) for study in studies]
+            hit = store.get(_tiny_config(seed=3))
+            contains, evictions = store.contains_key, "store.evictions"
+        else:
+            store = StageStore(tmp_path / "stages", metrics=MetricsRegistry())
+            keys = [store.put("epoch", stage_key("epoch", {"i": i}), {"row": i}) for i in range(3)]
+            hit = store.get("epoch", keys[0])
+            contains, evictions = store.contains, "stage.gc.evictions"
+        # The hit on the oldest entry makes it the most recently used.
+        assert hit is not None
         evicted = store.gc(max_entries=2)
         assert evicted == [keys[1]]
-        assert store.contains_key(keys[0]) and store.contains_key(keys[2])
-        assert store.metrics.counter("store.evictions") == 1
+        assert contains(keys[0]) and contains(keys[2])
+        assert store.metrics.counter(evictions) == 1
 
     def test_max_bytes_bound(self, tmp_path, tiny_study):
         store = StudyStore(tmp_path / "store", metrics=MetricsRegistry())
@@ -334,13 +344,6 @@ class TestGcAndIndex:
         store.put(run_study(_tiny_config(seed=4)))
         assert store.stats().entries == 1
 
-    def test_index_rebuilds_from_filesystem(self, store, tiny_study):
-        key = store.put(tiny_study)
-        (store.root / "index.json").unlink()
-        assert store.contains_key(key)
-        assert store.keys() == [key]
-        assert store.stats().entries == 1
-
     def test_crash_debris_in_tmp_is_inert(self, store, tiny_study):
         key = store.put(tiny_study)
         debris = store.root / "tmp" / "deadbeef.1234.abcd"
@@ -348,6 +351,106 @@ class TestGcAndIndex:
         (debris / "manifest.json").write_text("{}")
         assert store.keys() == [key]
         assert store.get(_tiny_config()) is not None
+
+    @pytest.mark.parametrize("kind", ["study", "stage"])
+    def test_gc_reaps_staging_of_dead_writers(self, kind, tmp_path):
+        """A writer killed mid-put leaves its staging copy in ``tmp/``; gc
+        removes it once the pid in its name is dead, never a live writer's."""
+        import os
+        import subprocess
+        import sys
+
+        # A pid guaranteed dead: a subprocess that already exited.
+        probe = subprocess.run(
+            [sys.executable, "-c", "import os; print(os.getpid())"],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        dead_pid = int(probe.stdout)
+        if kind == "study":
+            store, suffix = StudyStore(tmp_path / "store", metrics=MetricsRegistry()), ""
+        else:
+            store, suffix = StageStore(tmp_path / "stages", metrics=MetricsRegistry()), ".json"
+        debris = {}
+        for pid in (dead_pid, os.getpid()):
+            path = store.root / "tmp" / f"{'ab' * 32}.{pid}.abcd{suffix}"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if kind == "study":
+                path.mkdir()
+                (path / "manifest.json").write_text("{}")
+            else:
+                path.write_text("{}")
+            debris[pid] = path
+        assert store.gc() == []
+        assert not debris[dead_pid].exists()
+        assert debris[os.getpid()].exists()
+
+
+def _put_concurrently(barrier, kind, root, items, writes):
+    """One writer process: wait for all writers, then put every item."""
+    barrier.wait()
+    if kind == "study":
+        store = StudyStore(root, metrics=MetricsRegistry())
+        for study in items:
+            store.put(study)
+        writes.put(store.metrics.counter("store.writes"))
+    else:
+        store = StageStore(root, metrics=MetricsRegistry())
+        for key, payload in items:
+            store.put("epoch", key, payload)
+        writes.put(store.counter("epoch", "writes"))
+
+
+@pytest.mark.parallel
+class TestConcurrentWriters:
+    N_WRITERS = 4
+
+    def _race(self, kind, root, items):
+        """Each writer puts ``items`` rotated, all released at once; returns writes."""
+        import multiprocessing
+
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(self.N_WRITERS)
+        writes = context.Queue()
+        writers = [
+            context.Process(
+                target=_put_concurrently,
+                args=(barrier, kind, root, items[i:] + items[:i], writes),
+            )
+            for i in range(self.N_WRITERS)
+        ]
+        for writer in writers:
+            writer.start()
+        counts = [writes.get(timeout=300) for _ in writers]
+        for writer in writers:
+            writer.join(timeout=60)
+            assert writer.exitcode == 0
+        assert not list((root / "tmp").iterdir())
+        return counts
+
+    def test_study_store_publishes_each_key_once(self, tmp_path, tiny_study):
+        root = tmp_path / "store"
+        studies = [tiny_study, run_study(_tiny_config(seed=4))]
+        counts = self._race("study", root, studies)
+        # Every other writer either saw the entry or lost the rename race.
+        assert sum(counts) == len(studies)
+        store = StudyStore(root, metrics=MetricsRegistry())
+        assert store.stats().entries == len(studies)
+        for study in studies:
+            assert store.get(study.config) is not None
+        assert store.metrics.counter("store.corruptions") == 0
+
+    def test_stage_store_entries_load_verified(self, tmp_path):
+        root = tmp_path / "stages"
+        items = [(stage_key("epoch", {"i": i}), {"row": i}) for i in range(24)]
+        counts = self._race("stage", root, items)
+        assert sum(counts) >= len(items)
+        store = StageStore(root, metrics=MetricsRegistry())
+        assert store.stats()["entries"] == len(items)
+        for key, payload in items:
+            assert store.get("epoch", key) == payload
+        assert store.counter("epoch", "corruptions") == 0
 
 
 class TestCachedStudyKeying:
