@@ -30,6 +30,7 @@ run pays the full pipeline, every later process rehydrates from disk.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -118,18 +119,17 @@ def _workers_spec(value: str) -> "int | str":
 def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
-        choices=("serial", "process", "pool"),
+        choices=("serial", "pool"),
         default="serial",
         help="execution backend for the campaign/clustering fan-outs: serial, "
-        "process (fresh worker pool per stage), or pool (one persistent pool "
-        "reused across stages; default: serial)",
+        "or pool (one persistent worker pool reused across stages; default: serial)",
     )
     parser.add_argument(
         "--workers",
         type=_workers_spec,
         default=1,
         metavar="N",
-        help="worker processes for --backend process/pool, or 'auto' for "
+        help="worker processes for --backend pool, or 'auto' for "
         "cpu_count-1 (results are identical at any N)",
     )
 
@@ -1050,4 +1050,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        code = args.handler(args)
+        # Flush inside the try so a closed pipe surfaces here, not at exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro ... | head``).  Point stdout at
+        # devnull so the interpreter's exit-time flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code

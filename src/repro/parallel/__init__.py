@@ -12,8 +12,8 @@ bit-reproducibility:
   compact wire form, :meth:`ShardPlan.shard_seeds`), so every shard sees
   the same randomness on every backend;
 * :func:`run_sharded` executes the shards on the configured backend
-  (:class:`SerialExecutor`, :class:`ProcessExecutor`, or the persistent
-  :class:`PoolExecutor`) and merges results in shard order — dispatch is
+  (:class:`SerialExecutor` or :class:`PoolExecutor` over the persistent
+  :class:`WorkerPool`) and merges results in shard order — dispatch is
   largest-cost-first (:func:`steal_order`) but the merge is keyed by shard
   index, so scheduling never touches bytes;
 * large read-only arrays cross the process boundary by *reference* through
@@ -21,9 +21,8 @@ bit-reproducibility:
   being pickled per shard, with a guaranteed-unlink registry lifecycle.
 
 Consequently a study's exported artifacts are byte-identical across
-``backend="serial"``, ``backend="process"``, and ``backend="pool"`` at any
-worker count — the property ``tests/test_parallel_equivalence.py`` proves
-differentially.
+``backend="serial"`` and ``backend="pool"`` at any worker count — the
+property ``tests/test_parallel_equivalence.py`` proves differentially.
 """
 
 from repro.parallel.executor import (
@@ -34,7 +33,6 @@ from repro.parallel.executor import (
     Executor,
     ParallelConfig,
     PoolExecutor,
-    ProcessExecutor,
     SerialExecutor,
     make_executor,
     preferred_start_method,
@@ -75,7 +73,6 @@ __all__ = [
     "NullFlightRecorder",
     "ParallelConfig",
     "PoolExecutor",
-    "ProcessExecutor",
     "SHARD_DURATION_METRIC",
     "STRAGGLER_FACTOR",
     "SerialExecutor",

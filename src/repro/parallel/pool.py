@@ -1,11 +1,8 @@
 """The persistent worker pool: one supervised pool, many stages.
 
-The ``process`` backend builds a fresh :class:`ProcessPoolExecutor` per
-fan-out, so a study pays spawn + import warmup twice (campaign, then
-clustering) and a sweep or timeline campaign pays it per cell stage —
-the flight snapshot in BENCH_parallel.json showed 4 distinct pids for a
-2-worker run for exactly this reason.  The ``pool`` backend instead
-leases a process-wide :class:`WorkerPool` keyed by worker count:
+The ``pool`` backend leases a process-wide :class:`WorkerPool` keyed by
+worker count, so spawn + import warmup is paid once per process rather
+than once per fan-out:
 
 * the first stage to ask for ``N`` workers creates the pool; every later
   stage (and, under ``repro serve``, every later *campaign*) reuses it;
@@ -13,11 +10,13 @@ leases a process-wide :class:`WorkerPool` keyed by worker count:
   processes, ``restarts`` incremented — so the resilience layer's
   requeue/fallback protocol works unchanged against it;
 * :func:`shutdown_pools` tears everything down (registered at interpreter
-  exit; the serve scheduler also calls it on drain).
+  exit; the serve scheduler also calls it on drain);
+* workers restore the default SIGTERM action on start, so a parent's
+  drain handler (``repro serve``, the campaign CLIs) cannot make an
+  orphaned worker ignore SIGTERM.
 
 The handle exposes identity (``pool_id``), ``restarts`` and
-``stages_served`` so the flight recorder can show pool reuse instead of
-leaving an N-workers/2N-pids puzzle in the bench snapshot.
+``stages_served`` so the flight recorder can show pool reuse.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from __future__ import annotations
 import atexit
 import itertools
 import os
+import signal
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable
@@ -37,6 +37,16 @@ _LOCK = threading.Lock()
 
 #: Live pools, keyed by worker count.
 _POOLS: dict[int, "WorkerPool"] = {}
+
+
+def _init_worker() -> None:
+    """Restore the default SIGTERM action in a freshly started worker.
+
+    Forked workers inherit the parent's Python SIGTERM handler (``repro
+    serve`` sets its stop event, the campaign CLIs relay an interrupt),
+    under which an orphaned worker would outlive SIGTERM.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 class WorkerPool:
@@ -56,7 +66,9 @@ class WorkerPool:
     def _ensure(self) -> ProcessPoolExecutor:
         if self._executor is None:
             context = multiprocessing.get_context(self.start_method)
-            self._executor = ProcessPoolExecutor(max_workers=self.workers, mp_context=context)
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers, mp_context=context, initializer=_init_worker
+            )
         return self._executor
 
     def submit(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:

@@ -13,7 +13,7 @@ The :class:`CampaignReport` is a pure function of the grid and the
 metric specs: cache provenance (hits/misses) and timings are surfaced
 separately, so an interrupted-then-resumed campaign renders and
 serialises **byte-identically** to an uninterrupted one
-(``tests/test_sweep_resume.py`` proves this).
+(``tests/test_sweep_resume.py`` proves this, serial and pool).
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def run_campaign(
     checkpointed as they finish.  ``max_cells`` truncates the expansion
     to its first N cells (a deterministic partial campaign — useful for
     smoke runs and for exercising resume).  ``parallel`` dispatches one
-    cell per shard through the configured backend; with a process
+    cell per shard through the configured backend; with the pool
     backend, ``cell_hook`` must be picklable.
 
     ``faults`` wires the ``sweep.cell``, ``sweep.shard``, and

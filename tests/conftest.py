@@ -53,6 +53,15 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip)
 
 
+@pytest.fixture
+def cold_pools():
+    """Shut every persistent worker pool down after the test."""
+    yield
+    from repro.parallel import shutdown_pools
+
+    shutdown_pools()
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _shm_leak_sweep():
     """The zero-leak guarantee, enforced at session end.

@@ -332,6 +332,37 @@ class TestTimelineGcCommand:
         assert main(["timeline", "gc", "--store-dir", str(tmp_path / "stages")]) == 0
         assert "evicted 0 of 1 entries" in capsys.readouterr().out
 
+    def test_gc_into_a_closed_pipe_exits_quietly(self, tmp_path):
+        """``repro timeline gc ... | head`` must not end in a traceback: the
+        reader is gone before the first line, the eviction still happens,
+        and the CLI exits non-zero without a word on stderr."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.store import StageStore
+        from repro.store.stages import stage_key
+
+        store = StageStore(tmp_path / "stages")
+        # Enough evicted-key lines to overflow stdout's buffer mid-report.
+        for i in range(200):
+            store.put("epoch", stage_key("epoch", {"i": i}), {"row": i})
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        read_end, write_end = os.pipe()
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "timeline", "gc",
+             "--store-dir", str(tmp_path / "stages"), "--max-entries", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+        os.close(write_end)
+        os.close(read_end)  # the reader closes before reading anything
+        _, stderr = process.communicate(timeout=120)
+        assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr, stderr.decode()
+        assert process.returncode == 1
+        assert StageStore(tmp_path / "stages").stats()["entries"] == 1
+
     def test_timeline_run_still_parses_without_subcommand(self):
         from repro.cli import build_parser
 
@@ -346,7 +377,7 @@ class TestServeParser:
 
         args = build_parser().parse_args(
             ["serve", "--state-dir", "/tmp/state", "--max-queue", "3",
-             "--tenant-quota", "2", "--backend", "process", "--workers", "2"]
+             "--tenant-quota", "2", "--backend", "pool", "--workers", "2"]
         )
         assert args.handler.__name__ == "_cmd_serve"
         assert args.max_queue == 3 and args.tenant_quota == 2

@@ -8,7 +8,7 @@ Covers the tentpole contracts:
 * the committed ``benchmarks/BENCH_accuracy.json`` floors hold on a fresh
   small-scenario scorecard, and a deliberately injected misclassification
   trips the gate;
-* scorecard JSON is byte-stable across serial/process backends and
+* scorecard JSON is byte-stable across the serial/pool backends and
   1/2/4 workers (the ``tests/test_parallel_equivalence.py`` discipline).
 """
 
@@ -29,7 +29,7 @@ from repro.eval import (
     derive_floors,
     score_isp_clustering,
 )
-from repro.parallel import ParallelConfig
+from repro.parallel import ParallelConfig, shutdown_pools
 from repro.scan.detection import DetectionScore, score_detection
 from repro.topology.generator import InternetConfig
 
@@ -214,6 +214,9 @@ class TestDifferentialScorecard:
 
     @pytest.mark.parallel
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_process_backend_matches_serial(self, serial_json, workers):
-        process = _compact_scorecard_json(ParallelConfig(backend="process", workers=workers))
-        assert process == serial_json
+    def test_pool_backend_matches_serial(self, serial_json, workers):
+        try:
+            pooled = _compact_scorecard_json(ParallelConfig(backend="pool", workers=workers))
+        finally:
+            shutdown_pools()
+        assert pooled == serial_json

@@ -142,11 +142,14 @@ class TestFlightRecorder:
             "campaign",
             {"pool": "pool-1-0", "workers": 2, "restarts": 0, "persistent": True, "stages_served": 1},
         )
-        recorder.set_pool("clustering", {"pool": "ephemeral", "workers": 2, "restarts": 1, "persistent": False})
+        recorder.set_pool(
+            "clustering",
+            {"pool": "pool-1-0", "workers": 2, "restarts": 1, "persistent": True, "stages_served": 2},
+        )
         assert recorder.to_json()["pools"]["campaign"]["pool"] == "pool-1-0"
         text = recorder.render()
-        assert "pool campaign: pool-1-0" in text
-        assert "ephemeral" in text
+        assert "pool campaign: pool-1-0 (2 workers, 0 restarts, stage 1 on this pool)" in text
+        assert "pool clustering: pool-1-0 (2 workers, 1 restarts, stage 2 on this pool)" in text
 
     def test_render(self):
         recorder = FlightRecorder()

@@ -1,6 +1,6 @@
 """Tests for :mod:`repro.parallel`: plans, executors, and telemetry merge.
 
-The differential serial≡process study harness lives in
+The differential serial≡pool study harness lives in
 ``tests/test_parallel_equivalence.py``; this module covers the building
 blocks — partition invariants (hypothesis property tests), ordered merge,
 per-shard RNG stability, and worker-telemetry accounting.
@@ -20,7 +20,6 @@ from repro.obs import MetricsRegistry, Telemetry, Tracer
 from repro.parallel import (
     ParallelConfig,
     PoolExecutor,
-    ProcessExecutor,
     SHARD_DURATION_METRIC,
     SerialExecutor,
     Shard,
@@ -38,7 +37,7 @@ from repro.parallel import (
 )
 
 
-# Module-level so the process backend can pickle them.
+# Module-level so the pool backend can pickle them.
 def _sum_shard(shard: Shard, telemetry) -> int:
     if telemetry is not None:
         telemetry.count("test.items_seen", len(shard.items))
@@ -194,13 +193,22 @@ class TestParallelConfig:
 
     def test_factory(self):
         assert isinstance(make_executor(ParallelConfig()), SerialExecutor)
-        executor = make_executor(ParallelConfig(backend="process", workers=3))
-        assert isinstance(executor, ProcessExecutor) and executor.workers == 3
         pooled = make_executor(ParallelConfig(backend="pool", workers=2))
         assert isinstance(pooled, PoolExecutor) and pooled.workers == 2
 
+    def test_removed_process_backend_is_rejected(self, capsys):
+        """``process`` is gone in favour of ``pool``, with no alias."""
+        from repro.cli import main
+
+        with pytest.raises(ValueError, match=r"\('serial', 'pool'\)"):
+            ParallelConfig(backend="process")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["study", "--backend", "process"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
     def test_workers_auto_resolves_at_construction(self):
-        config = ParallelConfig(backend="process", workers="auto")
+        config = ParallelConfig(backend="pool", workers="auto")
         assert config.workers == max(1, usable_cpu_count() - 1)
         assert isinstance(config.workers, int)
 
@@ -235,20 +243,23 @@ class TestSerialExecution:
 
 
 @pytest.mark.parallel
+@pytest.mark.usefixtures("cold_pools")
 class TestProcessExecution:
+    """The executor contract on real worker processes (the ``pool`` backend)."""
+
     def test_results_match_serial(self):
         plan = ShardPlan.of(range(57), chunk_size=5)
-        config = ParallelConfig(backend="process", workers=4)
+        config = ParallelConfig(backend="pool", workers=4)
         assert run_sharded(_sum_shard, plan, config) == run_sharded(_sum_shard, plan)
 
     def test_ordered_despite_completion_order(self):
         plan = ShardPlan.of(range(30), chunk_size=2)
-        config = ParallelConfig(backend="process", workers=4)
+        config = ParallelConfig(backend="pool", workers=4)
         results = run_sharded(_echo_shard, plan, config)
         assert [index for index, _ in results] == list(range(plan.n_shards))
 
     def test_worker_exceptions_propagate(self):
-        config = ParallelConfig(backend="process", workers=2)
+        config = ParallelConfig(backend="pool", workers=2)
         with pytest.raises(RuntimeError, match="exploded"):
             run_sharded(_boom_shard, ShardPlan.of(range(4), chunk_size=2), config)
 
@@ -256,23 +267,23 @@ class TestProcessExecution:
         plan = ShardPlan.of(range(22), chunk_size=4)
         serial_telemetry = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
         run_sharded(_sum_shard, plan, telemetry=serial_telemetry, label="stage")
-        process_telemetry = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
+        pool_telemetry = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
         run_sharded(
             _sum_shard,
             plan,
-            ParallelConfig(backend="process", workers=3),
-            telemetry=process_telemetry,
+            ParallelConfig(backend="pool", workers=3),
+            telemetry=pool_telemetry,
             label="stage",
         )
         # Worker-side counters and histograms arrive exactly once.
-        for metrics in (serial_telemetry.metrics, process_telemetry.metrics):
+        for metrics in (serial_telemetry.metrics, pool_telemetry.metrics):
             assert metrics.counter("test.items_seen") == 22
             assert metrics.histogram(SHARD_DURATION_METRIC).count == plan.n_shards
         # Worker spans appear under the fan-out span, in shard order.
-        fanout = process_telemetry.tracer.find("stage.fanout")
+        fanout = pool_telemetry.tracer.find("stage.fanout")
         shard_spans = [span for span in fanout.children if span.name == "stage.shard"]
         assert [span.attributes["shard"] for span in shard_spans] == list(range(plan.n_shards))
-        assert serial_telemetry.tracer.span_names() == process_telemetry.tracer.span_names()
+        assert serial_telemetry.tracer.span_names() == pool_telemetry.tracer.span_names()
 
 
 class TestMetricsMerge:
@@ -341,23 +352,26 @@ class TestCampaignSharding:
         assert np.array_equal(matrices[0], matrices[1], equal_nan=True)
 
     @pytest.mark.parallel
-    def test_process_identical_to_serial(self, campaign_setup):
+    def test_pool_identical_to_serial(self, campaign_setup):
         from repro.mlab.matrix import measure_offnets
 
         internet, state, ips, vps = campaign_setup
         serial = measure_offnets(
             internet, state, ips, vps, seed=4, parallel=ParallelConfig(campaign_chunk=32)
         )
-        process = measure_offnets(
-            internet,
-            state,
-            ips,
-            vps,
-            seed=4,
-            parallel=ParallelConfig(backend="process", workers=4, campaign_chunk=32),
-        )
-        assert np.array_equal(serial.rtt_ms, process.rtt_ms, equal_nan=True)
-        assert serial.split_location_ips == process.split_location_ips
+        try:
+            pooled = measure_offnets(
+                internet,
+                state,
+                ips,
+                vps,
+                seed=4,
+                parallel=ParallelConfig(backend="pool", workers=4, campaign_chunk=32),
+            )
+        finally:
+            shutdown_pools()
+        assert np.array_equal(serial.rtt_ms, pooled.rtt_ms, equal_nan=True)
+        assert serial.split_location_ips == pooled.split_location_ips
 
     def test_chunk_size_is_part_of_the_artifact(self, campaign_setup):
         # Chunk size shapes the shard RNG streams, so it is pinned in
@@ -529,9 +543,9 @@ class TestPoolBackend:
 
 
 @pytest.mark.parallel
-class TestProcessBackendCli:
+class TestPoolBackendCli:
     def test_trace_output_stable_across_backends(self, capsys):
-        """`--trace` with the process backend reports the same stage set."""
+        """`--trace` with the pool backend reports the same stage set."""
         from repro.cli import main
 
         assert main(["study", "--scenario", "small", "--trace", "--sections", "t1"]) == 0
@@ -546,14 +560,15 @@ class TestProcessBackendCli:
                     "--sections",
                     "t1",
                     "--backend",
-                    "process",
+                    "pool",
                     "--workers",
                     "2",
                 ]
             )
             == 0
         )
-        process_err = capsys.readouterr().err
+        shutdown_pools()
+        pool_err = capsys.readouterr().err
         for stage in ("ping_campaign", "clustering", "campaign.fanout", "clustering.fanout"):
-            assert stage in serial_err and stage in process_err
-        assert "stage timings" in process_err and "filter funnel" in process_err
+            assert stage in serial_err and stage in pool_err
+        assert "stage timings" in pool_err and "filter funnel" in pool_err

@@ -39,7 +39,7 @@ from repro.resilience import (
 )
 
 
-# Module-level so the process backend can pickle them.
+# Module-level so the pool backend can pickle them.
 def _sum_shard(shard: Shard, telemetry) -> int:
     return sum(shard.items)
 
@@ -286,8 +286,11 @@ class TestSerialSupervision:
 
 
 @pytest.mark.parallel
+@pytest.mark.usefixtures("cold_pools")
 class TestProcessSupervision:
-    CONFIG = ParallelConfig(backend="process", workers=2)
+    """Supervision of real worker processes (the persistent ``pool``)."""
+
+    CONFIG = ParallelConfig(backend="pool", workers=2)
 
     def test_worker_crash_is_requeued_to_success(self):
         faults = FaultPlan(
@@ -306,36 +309,32 @@ class TestProcessSupervision:
         assert results == [sum(s.items) for s in _plan().shards()]
         assert telemetry.metrics.counter("resilience.worker_crashes") >= 1
 
-    def test_pool_found_broken_at_submit_is_replaced(self):
+    def test_pool_found_broken_at_submit_is_replaced(self, monkeypatch):
         """A worker can die between the supervisor's wait and its next
         submit, so ``submit`` itself raises BrokenProcessPool.  That shard
-        never ran: it is requeued on a fresh pool instead of failing the
+        never ran: it is requeued on a rebuilt pool instead of failing the
         stage (no resilience config needed)."""
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.parallel.executor import ProcessExecutor
+        from repro.parallel import PoolExecutor, WorkerPool
 
-        class BrokenPool:
-            def submit(self, *args, **kwargs):
+        real_submit = WorkerPool.submit
+        broken = []
+
+        def submit_broken_once(pool, fn, *args, **kwargs):
+            if not broken:
+                broken.append(pool.pool_id)
                 raise BrokenProcessPool("a worker died")
+            return real_submit(pool, fn, *args, **kwargs)
 
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        class StartsBroken(ProcessExecutor):
-            leases = 0
-
-            def _lease(self, window, start_method):
-                self.leases += 1
-                if self.leases == 1:
-                    return BrokenPool()
-                return super()._lease(window, start_method)
-
+        monkeypatch.setattr(WorkerPool, "submit", submit_broken_once)
         telemetry = Telemetry.capture()
-        executor = StartsBroken(2)
+        executor = PoolExecutor(2)
         results = executor.map_shards(_sum_shard, _plan().shards(), telemetry, "parallel")
         assert results == [sum(s.items) for s in _plan().shards()]
-        assert executor.leases == 2
+        # One replacement: the same handle, rebuilt once in place.
+        pool = telemetry.flight.pools["parallel"]
+        assert pool["pool"] == broken[0] and pool["stage_restarts"] == 1
         assert telemetry.metrics.counter("resilience.worker_crashes") == 1
 
     def test_process_results_match_serial_under_faults(self):
@@ -345,14 +344,14 @@ class TestProcessSupervision:
         )
         resilience = ResilienceConfig()
         serial = run_sharded(_sum_shard, _plan(), faults=faults, resilience=resilience)
-        process = run_sharded(
+        pooled = run_sharded(
             _sum_shard, _plan(), self.CONFIG, faults=faults, resilience=resilience
         )
-        assert serial == process
+        assert serial == pooled
 
     def test_hung_worker_cannot_stall_the_stage(self):
         """Satellite regression: a shard that hangs is detected by the
-        per-shard timeout, its pool is abandoned, and the stage completes
+        per-shard timeout, its pool is rebuilt, and the stage completes
         via requeue/fallback instead of blocking forever."""
         faults = FaultPlan(
             seed=7,
@@ -360,7 +359,7 @@ class TestProcessSupervision:
                 FaultSpec(site="parallel.shard", kind="hang", rate=0.4, hang_s=120.0, fail_attempts=1),
             ),
         )
-        config = ParallelConfig(backend="process", workers=2, shard_timeout_s=1.0)
+        config = ParallelConfig(backend="pool", workers=2, shard_timeout_s=1.0)
         telemetry = Telemetry.capture()
         start = time.monotonic()
         results = run_sharded(
@@ -380,7 +379,7 @@ class TestProcessSupervision:
         """A task that hangs for real (no fault plan) is caught by the
         timeout and quarantined once its attempts and the in-process
         fallback are exhausted — the study-level stall guard."""
-        config = ParallelConfig(backend="process", workers=1, shard_timeout_s=0.5)
+        config = ParallelConfig(backend="pool", workers=1, shard_timeout_s=0.5)
         resilience = ResilienceConfig(
             retry=RetryPolicy(max_attempts=1),
             fallback_in_process=False,

@@ -3,13 +3,15 @@
 The headline guarantee, proven differentially: SIGKILL the server
 mid-campaign, restart it against the same state directory, and the
 recovered campaign's result is **byte-identical** to an uninterrupted
-run's — on the serial and process backends.  Alongside it: SIGTERM
+run's — on the serial and pool backends.  Alongside it: SIGTERM
 drains gracefully (checkpoint, exit 0, the re-queued campaign resumes on
 restart), a corrupt journal tail degrades recovery honestly instead of
 wedging it, injected ``serve.request`` faults surface as the documented
 HTTP failure modes, and a campaign whose cells permanently fail reports
 ``DEGRADED`` with a coverage report matching the injected fire set
-exactly.
+exactly.  Every server runs in its own process group, and teardown
+SIGTERMs the whole group and asserts it is gone: no worker outlives its
+server, not even one orphaned by SIGKILL.
 
 The SIGTERM-mid-campaign regression test for the ``repro sweep run`` CLI
 (checkpoint-before-exit, resume to a byte-identical report) lives here
@@ -62,6 +64,34 @@ def _env() -> dict[str, str]:
     return env
 
 
+def _live_group_members(pgid: int) -> list[int]:
+    """Pids still running in process group ``pgid`` (zombies excluded).
+
+    Orphans are reparented to init, which need not reap them promptly;
+    a zombie holds no resources, so only running members count.
+    """
+    proc = Path("/proc")
+    if not proc.is_dir():  # pragma: no cover - non-Linux: group-wide probe
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    live = []
+    for entry in proc.iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            live.append(int(entry.name))
+    return live
+
+
 def _get_json(url: str):
     with urllib.request.urlopen(url, timeout=10) as response:
         return json.loads(response.read())
@@ -88,6 +118,7 @@ class _Server:
             env=_env(),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         deadline = time.time() + 60
         self.url = None
@@ -133,9 +164,24 @@ class _Server:
         return self.process.wait(timeout=60)
 
     def cleanup(self) -> None:
-        if self.process.poll() is None:
+        """SIGTERM the server's whole process group; assert nothing survives."""
+        pgid = self.process.pid  # session leader: its pid is the group id
+        try:
+            os.killpg(pgid, signal.SIGTERM)
+        except ProcessLookupError:
+            pass
+        try:
+            self.process.wait(timeout=30)
+        except subprocess.TimeoutExpired:
             self.process.kill()
             self.process.wait(timeout=30)
+        deadline = time.time() + 5
+        while _live_group_members(pgid) and time.time() < deadline:
+            time.sleep(0.05)
+        survivors = _live_group_members(pgid)
+        if survivors:
+            os.killpg(pgid, signal.SIGKILL)
+        assert not survivors, f"processes outlived SIGTERM to the server's group: {survivors}"
 
 
 def _reference_result(tmp_path: Path, spec: dict) -> bytes:
@@ -183,10 +229,12 @@ class TestKillDashNine:
         _kill9_roundtrip(tmp_path)
 
     @pytest.mark.parallel
-    def test_sigkill_recovery_on_process_backend(self, tmp_path):
+    def test_sigkill_recovery_on_pool_backend(self, tmp_path):
+        """Also the orphan check: the SIGKILLed server's pool workers must
+        stop on SIGTERM to the group (``_Server.cleanup``)."""
         if not process_backend_available():
-            pytest.skip("process executor backend unavailable")
-        _kill9_roundtrip(tmp_path, "--backend", "process", "--workers", "2")
+            pytest.skip("worker pool unavailable")
+        _kill9_roundtrip(tmp_path, "--backend", "pool", "--workers", "2")
 
     def test_double_kill_double_recovery(self, tmp_path):
         """Killing the server during *recovery's re-run* and recovering

@@ -59,9 +59,9 @@ class TestKeys:
         """backend/workers never change artifacts, so the content address
         normalises them away — while the full fingerprint still differs."""
         serial = _tiny_config()
-        process = _tiny_config(parallel=ParallelConfig(backend="process", workers=4))
-        assert config_fingerprint(serial) != config_fingerprint(process)
-        assert study_key(serial) == study_key(process)
+        pooled = _tiny_config(parallel=ParallelConfig(backend="pool", workers=4))
+        assert config_fingerprint(serial) != config_fingerprint(pooled)
+        assert study_key(serial) == study_key(pooled)
 
     def test_chunk_sizes_stay_in_study_key(self):
         """Chunk sizes shape shard RNG streams, so they must key the store."""
@@ -465,20 +465,23 @@ class TestCachedStudyKeying:
                 internet=SMALL_SCENARIO.config.internet,
                 n_vantage_points=SMALL_SCENARIO.config.n_vantage_points,
                 seed=SMALL_SCENARIO.config.seed,
-                parallel=ParallelConfig(backend="process", workers=2),
+                parallel=ParallelConfig(backend="pool", workers=2),
             ),
             n_traceroute_regions=SMALL_SCENARIO.n_traceroute_regions,
             capacity_sample=SMALL_SCENARIO.capacity_sample,
         )
         assert config_fingerprint(variant.config) != config_fingerprint(SMALL_SCENARIO.config)
         baseline = cached_study("small")
-        from repro.parallel import process_backend_available
+        from repro.parallel import process_backend_available, shutdown_pools
 
         if not process_backend_available():
-            pytest.skip("process executor backend unavailable")
-        other = cached_study(variant)
+            pytest.skip("worker pool unavailable")
+        try:
+            other = cached_study(variant)
+        finally:
+            shutdown_pools()
         assert other is not baseline
-        assert other.config.parallel.backend == "process"
+        assert other.config.parallel.backend == "pool"
         assert baseline.config.parallel.backend == "serial"
         # Both now memoised independently.
         assert cached_study(variant) is other
